@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -27,12 +25,10 @@ import (
 // the multiplexed TCP transport, and the pooled request hot path — only
 // exists below the layer the simulator replaces:
 //
-//   - codec: a state.Rec round trip through the binary wire codec vs the
-//     gob codec it replaced (the one-release compatibility baseline),
+//   - codec: a state.Rec round trip through the binary wire codec,
 //   - rpc: a two-process pair of real TCP transports (the server half is
 //     a re-exec of this binary, so the traffic crosses a process
-//     boundary) driven concurrently over the multiplexed connection and
-//     again over the legacy one-shot protocol,
+//     boundary) driven concurrently over the multiplexed connection,
 //   - proxy: the single-node warm proxy loop — the steady state a Na Kika
 //     edge server spends its life in — measuring req/s, allocs/op,
 //     bytes/op, and p50/p99 latency.
@@ -71,9 +67,7 @@ type ProxyThroughput struct {
 // ThroughputResult is the full experiment payload written to
 // BENCH_throughput.json.
 type ThroughputResult struct {
-	CodecBinary       CodecCost `json:"codec_binary"`
-	CodecGob          CodecCost `json:"codec_gob"`
-	CodecAllocDropPct float64   `json:"codec_alloc_drop_pct"`
+	CodecBinary CodecCost `json:"codec_binary"`
 
 	Proxy ProxyThroughput `json:"proxy"`
 	// ProxySeedAllocsPerOp is the warm-proxy allocs/op measured at the
@@ -83,11 +77,7 @@ type ThroughputResult struct {
 	ProxySeedAllocsPerOp float64 `json:"proxy_seed_allocs_per_op"`
 	ProxyAllocDropPct    float64 `json:"proxy_alloc_drop_pct"`
 
-	RPCMux     WireThroughput `json:"rpc_mux"`
-	RPCOneShot WireThroughput `json:"rpc_one_shot"`
-	// RPCMuxSpeedup is mux req/s over one-shot req/s (higher is better,
-	// archived only).
-	RPCMuxSpeedup float64 `json:"rpc_mux_speedup"`
+	RPCMux WireThroughput `json:"rpc_mux"`
 }
 
 // proxySeedAllocsPerOp: measured with the same loop at the last release
@@ -105,8 +95,7 @@ var benchRec = state.Rec{
 }
 
 // RunThroughput runs all three phases. loadDuration bounds each
-// wall-clock measurement loop (the RPC pair runs it twice, once per
-// protocol).
+// wall-clock measurement loop.
 func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
 	var res ThroughputResult
 
@@ -116,17 +105,6 @@ func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
 			panic(fmt.Sprintf("bench: binary rec round trip: %v", err))
 		}
 	})
-	res.CodecGob = measureCodec(func() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(benchRec); err != nil {
-			panic(err)
-		}
-		var rec state.Rec
-		if err := gob.NewDecoder(&buf).Decode(&rec); err != nil || rec.Key != benchRec.Key {
-			panic(fmt.Sprintf("bench: gob rec round trip: %v", err))
-		}
-	})
-	res.CodecAllocDropPct = dropPct(res.CodecGob.AllocsPerOp, res.CodecBinary.AllocsPerOp)
 
 	proxy, err := runProxyLoop(loadDuration)
 	if err != nil {
@@ -136,14 +114,8 @@ func RunThroughput(loadDuration time.Duration) (ThroughputResult, error) {
 	res.ProxySeedAllocsPerOp = proxySeedAllocsPerOp
 	res.ProxyAllocDropPct = dropPct(proxySeedAllocsPerOp, proxy.AllocsPerOp)
 
-	res.RPCMux, res.RPCOneShot, err = runRPCPair(loadDuration)
-	if err != nil {
-		return res, err
-	}
-	if res.RPCOneShot.ReqPerSec > 0 {
-		res.RPCMuxSpeedup = res.RPCMux.ReqPerSec / res.RPCOneShot.ReqPerSec
-	}
-	return res, nil
+	res.RPCMux, err = runRPCPair(loadDuration)
+	return res, err
 }
 
 func dropPct(base, now float64) float64 {
@@ -302,27 +274,25 @@ func ServeRPCPeer() error {
 const rpcWorkers = 8
 
 // runRPCPair spawns the server half as a child process, then drives it
-// for d twice: over the multiplexed connection, and again with
-// DisableMux (the legacy connection-per-exchange protocol this release
-// replaced) as the baseline.
-func runRPCPair(d time.Duration) (mux, oneShot WireThroughput, err error) {
+// for d over the multiplexed connection.
+func runRPCPair(d time.Duration) (WireThroughput, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return mux, oneShot, err
+		return WireThroughput{}, err
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), RPCPeerEnv+"=1")
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return mux, oneShot, err
+		return WireThroughput{}, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return mux, oneShot, err
+		return WireThroughput{}, err
 	}
 	if err := cmd.Start(); err != nil {
-		return mux, oneShot, err
+		return WireThroughput{}, err
 	}
 	defer func() {
 		stdin.Close()
@@ -345,23 +315,19 @@ func runRPCPair(d time.Duration) (mux, oneShot WireThroughput, err error) {
 		}
 	}
 	if addr == "" {
-		return mux, oneShot, fmt.Errorf("bench: RPC peer never printed its address")
+		return WireThroughput{}, fmt.Errorf("bench: RPC peer never printed its address")
 	}
-
-	if mux, err = runRPCClient(addr, false, d); err != nil {
-		return mux, oneShot, fmt.Errorf("bench: mux client: %w", err)
+	mux, err := runRPCClient(addr, d)
+	if err != nil {
+		return mux, fmt.Errorf("bench: mux client: %w", err)
 	}
-	if oneShot, err = runRPCClient(addr, true, d); err != nil {
-		return mux, oneShot, fmt.Errorf("bench: one-shot client: %w", err)
-	}
-	return mux, oneShot, nil
+	return mux, nil
 }
 
 // runRPCClient hammers the server from rpcWorkers goroutines for d and
 // reports the merged throughput and latency percentiles.
-func runRPCClient(addr string, disableMux bool, d time.Duration) (WireThroughput, error) {
+func runRPCClient(addr string, d time.Duration) (WireThroughput, error) {
 	tr := transport.NewTCP()
-	tr.DisableMux = disableMux
 	tr.AddPeer("srv", addr)
 	defer tr.Close()
 
@@ -416,9 +382,6 @@ func FormatThroughput(r ThroughputResult) string {
 	fmt.Fprintf(&sb, "codec round trip (state.Rec):\n")
 	fmt.Fprintf(&sb, "  binary:   %8.0f ns/op  %6.1f allocs/op  %8.1f B/op\n",
 		r.CodecBinary.NsPerOp, r.CodecBinary.AllocsPerOp, r.CodecBinary.BytesPerOp)
-	fmt.Fprintf(&sb, "  gob:      %8.0f ns/op  %6.1f allocs/op  %8.1f B/op\n",
-		r.CodecGob.NsPerOp, r.CodecGob.AllocsPerOp, r.CodecGob.BytesPerOp)
-	fmt.Fprintf(&sb, "  alloc reduction: %.1f%%\n", r.CodecAllocDropPct)
 	fmt.Fprintf(&sb, "warm proxy loop:\n")
 	fmt.Fprintf(&sb, "  %8.0f req/s  %6.1f allocs/op  %8.1f B/op  p50=%v p99=%v  (%d requests)\n",
 		r.Proxy.ReqPerSec, r.Proxy.AllocsPerOp, r.Proxy.BytesPerOp, r.Proxy.P50, r.Proxy.P99, r.Proxy.Requests)
@@ -427,8 +390,5 @@ func FormatThroughput(r ThroughputResult) string {
 	fmt.Fprintf(&sb, "two-process RPC pair (%d workers):\n", rpcWorkers)
 	fmt.Fprintf(&sb, "  mux:      %8.0f req/s  p50=%v p99=%v  (%d requests)\n",
 		r.RPCMux.ReqPerSec, r.RPCMux.P50, r.RPCMux.P99, r.RPCMux.Requests)
-	fmt.Fprintf(&sb, "  one-shot: %8.0f req/s  p50=%v p99=%v  (%d requests)\n",
-		r.RPCOneShot.ReqPerSec, r.RPCOneShot.P50, r.RPCOneShot.P99, r.RPCOneShot.Requests)
-	fmt.Fprintf(&sb, "  mux speedup: %.2fx\n", r.RPCMuxSpeedup)
 	return sb.String()
 }

@@ -111,9 +111,8 @@ func encodeDiskEntry(key string, expires time.Time, resp *httpmsg.Response) ([]b
 	return append(out, payload...), nil
 }
 
-// decodeDiskEntry validates and parses one entry file. The response body
-// decode accepts both the binary codec and the gob encoding written by the
-// previous release, so entries on disk stay readable across the upgrade.
+// decodeDiskEntry validates and parses one entry file: checksum, key,
+// expiry, then the binary-encoded response.
 func decodeDiskEntry(data []byte) (key string, expires time.Time, resp *httpmsg.Response, err error) {
 	if len(data) < 4 {
 		return "", time.Time{}, nil, fmt.Errorf("cache: disk entry too short")

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nakika/internal/lease"
 	"nakika/internal/state"
 )
 
@@ -542,6 +543,93 @@ func TestReplicatedDeleteWins(t *testing.T) {
 			if k == "del-k" {
 				t.Fatalf("tombstoned key listed by %s", n)
 			}
+		}
+	}
+}
+
+// propagateSite is the scripted site of the propagate-bypass regression.
+const propagateSite = "prop.example.org"
+
+// TestPropagateCannotBypassReplication pins that a script's State.propagate
+// cannot overwrite successor-replicated hard state: on a ring the site's
+// state is replicated by versioned records, so there is no messaging
+// service and propagate throws, leaving every replica of a script key and
+// of an internal lease record exactly as replication wrote it.
+func TestPropagateCannotBypassReplication(t *testing.T) {
+	origin := NewCountingOrigin()
+	origin.AddPage("http://"+propagateSite+"/nakika.js", `
+		var p = new Policy();
+		p.url = [ "`+propagateSite+`" ];
+		p.onRequest = function() {
+			Response.setHeader("Content-Type", "text/plain");
+			if (Request.param("step") == "write") {
+				State.put("user:1", "maria");
+				Lease.acquire("job", 60000);
+				Response.write("written");
+				return;
+			}
+			var forged = "forged";
+			var keys = [ "user:1", "\x00nk:lease:job" ];
+			var out = "";
+			for (var i = 0; i < keys.length; i++) {
+				try {
+					State.propagate("put " + keys[i].length + " " + forged.length + " " + keys[i] + forged);
+					out += "sent;";
+				} catch (e) {
+					out += "refused;";
+				}
+			}
+			Response.write(out);
+		};
+		p.register();
+	`, 3600)
+	c, err := New(Config{N: 3, Seed: 41 + seedOffset(), Latency: time.Millisecond, TTL: time.Hour, Manual: true, Replication: 3}, origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StabilizeAll(4)
+
+	resp, err := c.Handle("node-0", "http://"+propagateSite+"/app?step=write")
+	if err != nil || string(resp.Body) != "written" {
+		t.Fatalf("write step = %q, %v", resp.Body, err)
+	}
+	type record struct {
+		ver           uint64
+		value         string
+		deleted, live bool
+	}
+	keys := []string{"user:1", lease.Key("job")}
+	snapshot := func() map[string]record {
+		out := make(map[string]record)
+		for _, name := range c.Names() {
+			for _, key := range keys {
+				var r record
+				r.ver, r.value, r.deleted, r.live = c.NodeByName(name).LocalStateRecord(propagateSite, key)
+				out[name+" "+key] = r
+			}
+		}
+		return out
+	}
+	before := snapshot()
+	for name, r := range before {
+		if !r.live || r.deleted {
+			t.Fatalf("%s: no replicated record after the write step (%+v)", name, r)
+		}
+	}
+
+	resp, err = c.Handle("node-1", "http://"+propagateSite+"/app?step=propagate")
+	if err != nil || string(resp.Body) != "refused;refused;" {
+		t.Errorf("propagate step = %q, %v; want both updates refused", resp.Body, err)
+	}
+	after := snapshot()
+	for k, r := range before {
+		if after[k] != r {
+			t.Errorf("%q: record changed by State.propagate: %+v -> %+v", k, r, after[k])
+		}
+	}
+	for _, name := range c.Names() {
+		if v, ok := c.NodeByName(name).StateGet(propagateSite, "user:1"); !ok || v != "maria" {
+			t.Errorf("%s: StateGet(user:1) = %q %v, want the replicated value", name, v, ok)
 		}
 	}
 }

@@ -1,12 +1,18 @@
 package core
 
 import (
-	"net/http"
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"testing"
 	"time"
 
+	"nakika/internal/deploy"
 	"nakika/internal/httpmsg"
+	"nakika/internal/largeobject"
+	"nakika/internal/lease"
 	"nakika/internal/state"
+	"nakika/internal/wire"
 )
 
 func TestRepForwardRoundTrip(t *testing.T) {
@@ -57,36 +63,6 @@ func TestRepRangeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRepCodecsAcceptGob pins the one-release grace window: payloads encoded
-// by the previous release's gob codec still decode.
-func TestRepCodecsAcceptGob(t *testing.T) {
-	fwd := repForward{Site: "s", Key: "k", Value: "v"}
-	b, err := gobEncode(fwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := decodeRepForward(b); err != nil || got != fwd {
-		t.Fatalf("gob repForward: got %+v err %v", got, err)
-	}
-
-	rreq := repRangeReq{From: 1, To: 2, After: "a", Limit: 8}
-	if b, err = gobEncode(rreq); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := decodeRepRangeReq(b); err != nil || got != rreq {
-		t.Fatalf("gob repRangeReq: got %+v err %v", got, err)
-	}
-
-	rresp := repRangeResp{Recs: []state.Rec{{Site: "s", Key: "k", Ver: 9, Origin: "o", Value: "v"}}, More: true}
-	if b, err = gobEncode(rresp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeRepRangeResp(b)
-	if err != nil || !got.More || len(got.Recs) != 1 || got.Recs[0] != rresp.Recs[0] {
-		t.Fatalf("gob repRangeResp: got %+v err %v", got, err)
-	}
-}
-
 func TestOffloadRequestRoundTrip(t *testing.T) {
 	req := httpmsg.MustRequest("GET", "http://site.example/resource")
 	req.Header.Set("Accept", "text/html")
@@ -102,25 +78,76 @@ func TestOffloadRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOffloadRequestAcceptsGob pins the grace decode of the previous
-// release's gob wireRequest shape.
-func TestOffloadRequestAcceptsGob(t *testing.T) {
-	w := wireRequest{
-		Method:   "GET",
-		URL:      "http://site.example/old",
-		Header:   http.Header{"Accept": {"*/*"}},
-		ClientIP: "192.0.2.2",
-		Received: time.Unix(50, 0),
+// TestBinaryDecodersRequireMagic runs every self-describing binary decoder
+// against payloads that do not start with the wire.Magic format-version
+// byte — empty, the decoder's own encoding with the byte stripped or
+// replaced, and a gob stream — and requires each to be rejected.
+func TestBinaryDecodersRequireMagic(t *testing.T) {
+	manifest := &largeobject.Manifest{Key: "GET http://example.org/big", Status: 200,
+		TotalLen: 10, SegSize: 4, Fetched: time.Unix(1, 0)}
+	rec := state.Rec{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"}
+	asErr := func(ok bool) error {
+		if ok {
+			return nil
+		}
+		return wire.ErrMalformed
 	}
-	b, err := gobEncode(w)
-	if err != nil {
+	decoders := []struct {
+		name   string
+		valid  []byte
+		decode func([]byte) error
+	}{
+		{"state.DecodeRec", state.EncodeRec(rec), func(b []byte) error { _, err := state.DecodeRec(b); return err }},
+		{"httpmsg.DecodeResponse", httpmsg.EncodeResponse(httpmsg.NewTextResponse(200, "ok")),
+			func(b []byte) error { _, err := httpmsg.DecodeResponse(b); return err }},
+		{"decodeRepForward", encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"}),
+			func(b []byte) error { _, err := decodeRepForward(b); return err }},
+		{"decodeRepRangeReq", encodeRepRangeReq(repRangeReq{From: 1, To: 99, After: "user:a", Limit: 64}),
+			func(b []byte) error { _, err := decodeRepRangeReq(b); return err }},
+		{"decodeRepRangeResp", encodeRepRangeResp(repRangeResp{Recs: []state.Rec{rec}, More: true}),
+			func(b []byte) error { _, err := decodeRepRangeResp(b); return err }},
+		{"decodeLeaseReq", encodeLeaseReq(leaseReq{Site: "s", Name: "job", Holder: "node-1", Token: 7, TTL: 30}),
+			func(b []byte) error { _, err := decodeLeaseReq(b); return err }},
+		{"decodeLeaseFenced", encodeLeaseFenced(leaseFenced{Guard: "g", Holder: "node-1", Token: 7, Rec: rec}),
+			func(b []byte) error { _, err := decodeLeaseFenced(b); return err }},
+		{"decodeOffloadRequest", encodeOffloadRequest(httpmsg.MustRequest("GET", "http://site.example/r")),
+			func(b []byte) error { _, err := decodeOffloadRequest(b); return err }},
+		{"lease.Decode", []byte(lease.Encode(lease.Record{Holder: "node-1", Token: 7, Expires: 99})),
+			func(b []byte) error { _, ok := lease.Decode(string(b)); return asErr(ok) }},
+		{"largeobject.DecodeManifest", largeobject.EncodeManifest(manifest),
+			func(b []byte) error { _, err := largeobject.DecodeManifest(b); return err }},
+		{"largeobject.DecodeIndex", largeobject.EncodeIndex(&largeobject.Index{Manifest: manifest}),
+			func(b []byte) error { _, err := largeobject.DecodeIndex(b); return err }},
+		{"deploy.Decode", []byte(deploy.Encode(deploy.State{Active: 1, Bundles: []deploy.Bundle{{Gen: 1, Script: "x"}}})),
+			func(b []byte) error { _, err := deploy.Decode(string(b)); return err }},
+		{"deploy.DecodeSites", []byte(deploy.EncodeSites([]string{"a.example"})),
+			func(b []byte) error { _, err := deploy.DecodeSites(string(b)); return err }},
+	}
+	var gobBytes bytes.Buffer
+	if err := gob.NewEncoder(&gobBytes).Encode(repForward{Site: "s", Key: "k", Value: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeOffloadRequest(b)
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got.Method != "GET" || got.URL.String() != w.URL || got.ClientIP != w.ClientIP {
-		t.Fatalf("gob grace: got %+v", got)
+	for _, d := range decoders {
+		if err := d.decode(d.valid); err != nil {
+			t.Fatalf("%s: own encoding rejected: %v", d.name, err)
+		}
+		body := d.valid[1:]
+		if len(body) > 0 && body[0] == wire.Magic {
+			t.Fatalf("%s: test payload body starts with Magic; pick another", d.name)
+		}
+		rows := []struct {
+			name    string
+			payload []byte
+		}{
+			{"empty", nil},
+			{"magic stripped", body},
+			{"foreign version byte", append([]byte{wire.Magic + 1}, body...)},
+			{"gob", gobBytes.Bytes()},
+		}
+		for _, row := range rows {
+			if err := d.decode(row.payload); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s(%s) = %v, want wire.ErrMalformed", d.name, row.name, err)
+			}
+		}
 	}
 }

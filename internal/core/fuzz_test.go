@@ -8,8 +8,7 @@ import (
 )
 
 // FuzzRPCPayloads throws arbitrary bytes at every RPC body decoder on the
-// node's transport surface. Each decoder sniffs its first byte to pick
-// binary or legacy gob, and both arms must fail cleanly on garbage: no
+// node's transport surface. Each decoder must fail cleanly on garbage: no
 // panic, no unbounded allocation — a peer (or an attacker on the RPC
 // port) controls these bytes.
 func FuzzRPCPayloads(f *testing.F) {
@@ -26,9 +25,8 @@ func FuzzRPCPayloads(f *testing.F) {
 		Guard: "\x00nk:lease:job", Holder: "node-1", Token: 7,
 		Rec: state.Rec{Site: "s", Key: "k", Ver: 3, Origin: "n1", Value: "v"},
 	}))
-	if gobForward, err := gobEncode(repForward{Site: "s", Key: "k", Value: "v"}); err == nil {
-		f.Add(gobForward) // legacy-arm seed: gob never starts with the magic byte
-	}
+	// A well-formed body under a foreign format-version byte.
+	f.Add(append([]byte{0x01}, encodeRepForward(repForward{Site: "s", Key: "k", Value: "v"})[1:]...))
 	f.Add([]byte{0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -222,11 +222,12 @@ func (n *Node) ownerLeaseRelease(site, name, holder string, token uint64) (bool,
 // loop mirrors ownerPut.
 func (n *Node) ownerFencedPut(site, key, value, guard, holder string, token uint64) error {
 	if !n.repEnabled() {
-		// Single-node (or legacy bus) mode stores plain values — the same
-		// encoding StatePut uses there, so State.get reads fenced writes
-		// back. The backend's FencedPut is still one atomic admit + write +
-		// floor-raise; only the versioned LWW wrapper is skipped. Fenced
-		// writes stay node-local in this mode (the bus carries no fences).
+		// Without a ring (single node, or in-process nodes on a shared
+		// Bus) fenced writes store plain values — the same encoding
+		// StatePut uses there, so State.get reads them back. The backend's
+		// FencedPut is still one atomic admit + write + floor-raise; only
+		// the versioned LWW wrapper is skipped. Fenced writes stay
+		// node-local in this mode (the bus carries no fences).
 		n.repApplyMu.Lock()
 		err := n.store.Backend().FencedPut(site, key, value, guard, holder, token)
 		n.repApplyMu.Unlock()

@@ -185,11 +185,7 @@ func TestCooperativeCaching(t *testing.T) {
 	origin := newMemOrigin()
 	origin.addText("http://heavy.example.org/video.mp4", strings.Repeat("v", 10_000), 600)
 	ring := overlay.NewRing()
-	dir := NewDirectory()
-	mutate := func(cfg *Config) {
-		cfg.Ring = ring
-		cfg.Directory = dir
-	}
+	mutate := func(cfg *Config) { cfg.Ring = ring }
 	a := newTestNode(t, "edge-a", origin, mutate)
 	b := newTestNode(t, "edge-b", origin, mutate)
 

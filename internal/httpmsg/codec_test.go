@@ -2,7 +2,6 @@ package httpmsg
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net/http"
 	"reflect"
 	"testing"
@@ -49,22 +48,6 @@ func TestResponseCodecEmptyFields(t *testing.T) {
 	}
 	if got.Status != 404 || got.Header != nil || got.Body != nil || !got.Fetched.IsZero() {
 		t.Fatalf("empty round trip: got %+v", got)
-	}
-}
-
-func TestDecodeResponseAcceptsGob(t *testing.T) {
-	resp := NewTextResponse(200, "legacy body")
-	resp.Via = "old-node"
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeResponse(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got.Status != 200 || string(got.Body) != "legacy body" || got.Via != "old-node" {
-		t.Fatalf("gob grace: got %+v", got)
 	}
 }
 

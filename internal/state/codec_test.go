@@ -1,10 +1,7 @@
 package state
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
-	"time"
 )
 
 func TestRecRoundTrip(t *testing.T) {
@@ -25,61 +22,11 @@ func TestRecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeRecAcceptsGob(t *testing.T) {
-	rec := Rec{Site: "s", Key: "k", Ver: 3, Origin: "old-node", Value: "legacy"}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRec(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got != rec {
-		t.Fatalf("gob grace: got %+v want %+v", got, rec)
-	}
-}
-
 func TestDecodeRecMalformed(t *testing.T) {
 	cases := [][]byte{nil, {}, {0}, {0, 200}, {0, 5, 'a'}}
 	for _, c := range cases {
 		if _, err := DecodeRec(c); err == nil {
 			t.Fatalf("DecodeRec(%v): expected error", c)
 		}
-	}
-}
-
-func TestBusMessageRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{},
-		{Site: "s.example", Origin: "n1", Payload: "put 1 1 kv", Seq: 42, Sent: time.Unix(0, 1754600000000000000)},
-		{Site: "s", Origin: "n2", Payload: "", Seq: -1},
-	}
-	for _, msg := range msgs {
-		got, err := DecodeBusMessage(EncodeBusMessage(msg))
-		if err != nil {
-			t.Fatalf("DecodeBusMessage: %v", err)
-		}
-		if got.Site != msg.Site || got.Origin != msg.Origin || got.Payload != msg.Payload || got.Seq != msg.Seq {
-			t.Fatalf("round trip: got %+v want %+v", got, msg)
-		}
-		if got.Sent.UnixNano() != msg.Sent.UnixNano() && !(got.Sent.IsZero() && msg.Sent.IsZero()) {
-			t.Fatalf("Sent round trip: got %v want %v", got.Sent, msg.Sent)
-		}
-	}
-}
-
-func TestDecodeBusMessageAcceptsGob(t *testing.T) {
-	msg := Message{Site: "s", Origin: "old", Payload: "p", Seq: 9, Sent: time.Unix(100, 0)}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBusMessage(buf.Bytes())
-	if err != nil {
-		t.Fatalf("gob grace decode: %v", err)
-	}
-	if got.Site != msg.Site || got.Seq != msg.Seq || !got.Sent.Equal(msg.Sent) {
-		t.Fatalf("gob grace: got %+v want %+v", got, msg)
 	}
 }

@@ -222,6 +222,40 @@ func TestReplicaOnMessageHook(t *testing.T) {
 	}
 }
 
+// TestReplicaApplyRefusesInternalKeys pins that a bus update naming a key in
+// the reserved internal namespace never reaches the store: a script's
+// State.propagate can publish any payload, including a well-formed put or
+// del for a lease record.
+func TestReplicaApplyRefusesInternalKeys(t *testing.T) {
+	bus := NewBus()
+	var hooked int
+	a := &Replica{Site: "s", Node: "a", Store: NewStore(0), Bus: bus}
+	b := &Replica{Site: "s", Node: "b", Store: NewStore(0), Bus: bus, OnMessage: func(Message) { hooked++ }}
+	a.Attach()
+	b.Attach()
+	leaseKey := internalPrefix + "lease:job"
+	if err := b.Store.Put("s", leaseKey, "held"); err != nil {
+		t.Fatal(err)
+	}
+	bus.Publish("s", "a", encodeUpdate("put", internalPrefix+"lease:forged", "x"))
+	bus.Publish("s", "a", encodeUpdate("put", leaseKey, "stolen"))
+	bus.Publish("s", "a", encodeUpdate("del", leaseKey, ""))
+	if _, ok := b.Store.Get("s", internalPrefix+"lease:forged"); ok {
+		t.Error("propagated put created an internal key")
+	}
+	if v, ok := b.Store.Get("s", leaseKey); !ok || v != "held" {
+		t.Errorf("internal key after propagated put/del = %q %v, want held", v, ok)
+	}
+	if hooked != 3 {
+		t.Errorf("OnMessage saw %d updates, want 3", hooked)
+	}
+	// Ordinary keys still replicate.
+	bus.Publish("s", "a", encodeUpdate("put", "user:1", "v"))
+	if v, ok := b.Get("user:1"); !ok || v != "v" {
+		t.Errorf("ordinary key = %q %v, want v", v, ok)
+	}
+}
+
 func TestUpdateEncodingRoundTrip(t *testing.T) {
 	cases := []struct{ op, key, value string }{
 		{"put", "user:1", `{"a": "b c d"}`},

@@ -10,23 +10,18 @@ import (
 	"time"
 )
 
-// Multiplexed connection protocol (wire protocol v2). Both sides still
-// exchange 4-byte length-prefixed frames (wire.go), but one persistent
-// connection per peer address carries many in-flight calls at once:
+// Multiplexed connection protocol. Both sides exchange 4-byte
+// length-prefixed frames (wire.go); one persistent connection per peer
+// address carries many in-flight calls at once:
 //
 //	hello:    0x00 0xF1 "nkmux1"          client → server, first frame
 //	helloAck: 0x00 0xF2 "nkmux1"          server → client, first reply
-//	request:  0x00 0xF3 uvarint(id) <legacy request payload>
-//	reply:    0x00 0xF4 uvarint(id) <legacy reply payload>
+//	request:  0x00 0xF3 uvarint(id) <request payload>
+//	reply:    0x00 0xF4 uvarint(id) <reply payload>
 //
-// The leading 0x00 can never begin a legacy request payload (its first byte
-// is uvarint(len(from)) and callers are named nodes), so a server
-// distinguishes mux and legacy clients by the first frame alone: a hello
-// upgrades the connection to mux mode, anything else serves the legacy
-// one-exchange-per-acquisition loop. A legacy server answers the hello with
-// a "malformed frame" error reply and keeps the connection open — the new
-// client reads the non-ack, marks the peer legacy for a grace interval, and
-// parks the (still healthy) connection in the one-shot idle pool.
+// A server accepts a connection only if its first frame is the hello and
+// closes it otherwise; a client that does not get the helloAck back treats
+// the dial as failed.
 //
 // Outbound frames on a mux connection are corked: concurrent senders append
 // complete frames to a shared buffer and a single writer goroutine flushes
@@ -43,9 +38,8 @@ const (
 	muxReply    = 0xF4
 )
 
-// muxToken guards the hello/helloAck frames against payloads that happen to
-// begin 0x00: the handshake, the only point where the two protocols meet on
-// one connection, is unambiguous.
+// muxToken guards the hello/helloAck frames against stray bytes that happen
+// to begin 0x00, so the handshake is unambiguous.
 var muxToken = []byte("nkmux1")
 
 // maxCork bounds the corked-write buffer: a sender that would push the
@@ -94,7 +88,7 @@ func appendMuxHeader(buf []byte, kind byte, id uint64) []byte {
 }
 
 // parseMuxFrame splits a mux frame into kind, request ID, and the inner
-// legacy payload. ok is false for frames that are not mux-framed.
+// request or reply payload. ok is false for frames that are not mux-framed.
 func parseMuxFrame(payload []byte) (kind byte, id uint64, inner []byte, ok bool) {
 	if len(payload) < 2 || payload[0] != muxMagic {
 		return 0, 0, nil, false

@@ -58,77 +58,85 @@ func TestMuxSharesOneConnection(t *testing.T) {
 	}
 }
 
-// TestMuxFallsBackToLegacyServer pins the mixed-version path: a server
-// running the previous protocol (emulated with DisableMux) refuses the
-// handshake, and the client transparently serves the peer over the legacy
-// one-shot pool — including reusing the connection the handshake rode on.
-func TestMuxFallsBackToLegacyServer(t *testing.T) {
+// TestTCPClosesNonHelloConn pins the server's handshake rule: a raw client
+// whose first frame is a plain request rather than the mux hello gets its
+// connection closed without a reply, while mux clients on the same
+// listener keep working before, during and after.
+func TestTCPClosesNonHelloConn(t *testing.T) {
 	ta, tb := NewTCP(), NewTCP()
 	defer ta.Close()
 	defer tb.Close()
-	tb.DisableMux = true
 	tb.Register("srv", echoHandler("srv"))
 	addrB, err := tb.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ta.AddPeer("srv", addrB.String())
-
-	for i := 0; i < 4; i++ {
-		reply, err := ta.Call("cli", "srv", Message{Type: "echo", Key: fmt.Sprintf("k%d", i)})
-		if err != nil {
-			t.Fatalf("call %d over legacy fallback: %v", i, err)
-		}
-		if reply.Key != fmt.Sprintf("k%d", i) {
-			t.Errorf("call %d reply = %+v", i, reply)
+	call := func(key string) {
+		t.Helper()
+		reply, err := ta.Call("cli", "srv", Message{Type: "echo", Key: key})
+		if err != nil || reply.Key != key {
+			t.Fatalf("mux call %s = %+v, %v", key, reply, err)
 		}
 	}
+	call("before")
 
-	// The refusal is remembered: the client stops offering the handshake
-	// for the grace interval instead of re-probing on every call.
-	ta.muxMu.Lock()
-	e := ta.mux[addrB.String()]
-	ta.muxMu.Unlock()
-	if e == nil {
-		t.Fatal("no mux entry recorded for legacy peer")
+	raw, err := net.Dial("tcp", addrB.String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.mu.Lock()
-	legacy := time.Now().Before(e.legacyUntil)
-	e.mu.Unlock()
-	if !legacy {
-		t.Error("legacy refusal not remembered")
+	defer raw.Close()
+	if err := writeFrame(raw, appendRequest(nil, "raw", "srv", Message{Type: "echo", Key: "plain"})); err != nil {
+		t.Fatal(err)
 	}
-	// The handshake connection was parked in the one-shot pool, not leaked.
-	ta.mu.Lock()
-	pooled := len(ta.idle["srv"])
-	ta.mu.Unlock()
-	if pooled == 0 {
-		t.Error("handshake connection not parked in the idle pool")
+	call("during")
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := readFrame(raw)
+	if err == nil {
+		t.Fatalf("plain first frame was answered (%d bytes), want the connection closed", len(reply))
 	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server left the non-hello connection open: %v", err)
+	}
+	call("after")
 }
 
-// TestMuxDisabledClientSpeaksLegacy pins the other direction: a client one
-// release behind (emulated with DisableMux) never offers the handshake, and
-// a current server serves its first non-hello frame over the legacy loop.
-func TestMuxDisabledClientSpeaksLegacy(t *testing.T) {
-	ta, tb := NewTCP(), NewTCP()
-	defer ta.Close()
-	defer tb.Close()
-	ta.DisableMux = true
-	tb.Register("srv", echoHandler("srv"))
-	addrB, err := tb.Listen("127.0.0.1:0")
+// TestMuxNonAckHandshakeIsDialFailure pins the client's handshake rule: a
+// peer that answers the hello with anything but the ack is unreachable, and
+// the failure arms the reconnect backoff like a refused dial.
+func TestMuxNonAckHandshakeIsDialFailure(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta.AddPeer("srv", addrB.String())
-	for i := 0; i < 3; i++ {
-		reply, err := ta.Call("cli", "srv", Message{Type: "echo", Key: "legacy"})
-		if err != nil {
-			t.Fatalf("legacy client call %d: %v", i, err)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := readFrame(conn); err == nil {
+				_ = writeFrame(conn, appendReply(nil, Message{}, fmt.Errorf("malformed frame")))
+			}
+			conn.Close()
 		}
-		if reply.Key != "legacy" {
-			t.Errorf("reply = %+v", reply)
-		}
+	}()
+	tr := NewTCP()
+	defer tr.Close()
+	tr.AddPeer("foreign", ln.Addr().String())
+	if _, err := tr.Call("cli", "foreign", Message{}); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("non-ack handshake = %v, want ErrUnreachable", err)
+	}
+	tr.muxMu.Lock()
+	e := tr.mux[ln.Addr().String()]
+	tr.muxMu.Unlock()
+	e.mu.Lock()
+	backoff, gated, mc := e.backoff, time.Now().Before(e.nextDialAt), e.mc
+	e.mu.Unlock()
+	if backoff == 0 || !gated || mc != nil {
+		t.Errorf("after non-ack: backoff=%v gated=%v conn=%v, want backoff armed and no connection", backoff, gated, mc)
 	}
 }
 
@@ -172,44 +180,6 @@ func TestMuxCallTimeoutLeavesConnUsable(t *testing.T) {
 	tb.mu.Unlock()
 	if conns != 1 {
 		t.Errorf("timeout should not kill the connection, server sees %d conns", conns)
-	}
-}
-
-// TestIdlePoolBounded pins the legacy pool bounds: overflow connections are
-// closed rather than parked, per peer and in total.
-func TestIdlePoolBounded(t *testing.T) {
-	tr := NewTCP()
-	park := func(name string) net.Conn {
-		a, b := net.Pipe()
-		t.Cleanup(func() { a.Close(); b.Close() })
-		tr.release(name, a)
-		return a
-	}
-	for i := 0; i < maxIdlePerPeer+3; i++ {
-		park("peer0")
-	}
-	tr.mu.Lock()
-	perPeer, total := len(tr.idle["peer0"]), tr.idleTotal
-	tr.mu.Unlock()
-	if perPeer != maxIdlePerPeer || total != maxIdlePerPeer {
-		t.Fatalf("per-peer pool = %d (total %d), want %d", perPeer, total, maxIdlePerPeer)
-	}
-	for p := 1; tr.idleTotal < maxIdleTotal; p++ {
-		for i := 0; i < maxIdlePerPeer && tr.idleTotal < maxIdleTotal; i++ {
-			park(fmt.Sprintf("peer%d", p))
-		}
-	}
-	overflow := park("peer-overflow")
-	tr.mu.Lock()
-	total = tr.idleTotal
-	pooledOverflow := len(tr.idle["peer-overflow"])
-	tr.mu.Unlock()
-	if total != maxIdleTotal || pooledOverflow != 0 {
-		t.Fatalf("total pool = %d (overflow pooled %d), want cap %d", total, pooledOverflow, maxIdleTotal)
-	}
-	// The overflow connection was closed, not leaked.
-	if _, err := overflow.Write([]byte("x")); err == nil {
-		t.Error("overflow connection should be closed")
 	}
 }
 
@@ -259,11 +229,11 @@ func TestMuxFrameHelpers(t *testing.T) {
 	if !isMuxHelloAck(helloAckFrame()) || isMuxHelloAck(helloFrame()) {
 		t.Error("helloAck frame classification broken")
 	}
-	// A legacy request payload must never classify as a hello: its first
+	// A bare request payload must never classify as a hello: its first
 	// byte is uvarint(len(from)) which is nonzero for any named node.
-	legacy := encodeRequest("node-a", "node-b", Message{Type: "echo"})
-	if isMuxHello(legacy) {
-		t.Error("legacy request classified as mux hello")
+	plain := appendRequest(nil, "node-a", "node-b", Message{Type: "echo"})
+	if isMuxHello(plain) {
+		t.Error("bare request classified as mux hello")
 	}
 	frame := appendMuxHeader(nil, muxReq, 12345)
 	frame = append(frame, []byte("payload")...)
@@ -274,7 +244,7 @@ func TestMuxFrameHelpers(t *testing.T) {
 	if _, _, _, ok := parseMuxFrame([]byte{muxMagic}); ok {
 		t.Error("truncated frame should not parse")
 	}
-	if _, _, _, ok := parseMuxFrame(legacy); ok {
-		t.Error("legacy payload should not parse as mux frame")
+	if _, _, _, ok := parseMuxFrame(plain); ok {
+		t.Error("bare request payload should not parse as mux frame")
 	}
 }

@@ -24,19 +24,18 @@ import (
 
 // Message is one request or reply between nodes. Type selects the operation
 // (namespaced by subsystem: "ov.lookup" overlay routing, "cache.get"
-// cooperative cache, "state.update" bus replication, "rep.put"/"rep.get"/
-// "rep.store"/"rep.range" successor-list replication of hard state), Key
-// carries the primary argument, Args carries auxiliary strings, and Body
-// carries an opaque payload.
+// cooperative cache, "rep.put"/"rep.get"/"rep.store"/"rep.range"
+// successor-list replication of hard state), Key carries the primary
+// argument, Args carries auxiliary strings, and Body carries an opaque
+// payload.
 type Message struct {
 	Type string
 	Key  string
 	Args []string
 	Body []byte
 	// Trace is the originating request's cross-node trace id; zero means
-	// untraced. It rides every transport (the wire codec appends it only
-	// when set, so untraced traffic is byte-identical to the pre-trace
-	// protocol, and peers still running it ignore the trailing field).
+	// untraced. It rides every transport (the wire codec appends it as an
+	// optional trailing field, only when set).
 	Trace uint64
 }
 
@@ -141,7 +140,7 @@ func (l *Local) Call(from, to string, msg Message) (Message, error) {
 
 // Mux routes incoming messages to subsystem handlers by message-type
 // prefix, so one registered name can serve the overlay ("ov."), the
-// cooperative cache ("cache."), and state replication ("state.") at once.
+// cooperative cache ("cache."), and hard-state replication ("rep.") at once.
 type Mux struct {
 	mu     sync.RWMutex
 	routes map[string]Handler

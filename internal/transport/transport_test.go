@@ -72,7 +72,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		{Type: "lease.acquire", Trace: 1},
 	}
 	for i, msg := range cases {
-		from, to, got, err := decodeRequest(encodeRequest("alice", "bob", msg))
+		from, to, got, err := decodeRequest(appendRequest(nil, "alice", "bob", msg))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			len(got.Args) != len(msg.Args) || string(got.Body) != string(msg.Body) || got.Trace != msg.Trace {
 			t.Errorf("case %d: round trip mismatch", i)
 		}
-		rep, err := decodeReply(encodeReply(msg, nil))
+		rep, err := decodeReply(appendReply(nil, msg, nil))
 		if err != nil {
 			t.Fatalf("case %d reply: %v", i, err)
 		}
@@ -89,7 +89,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Remote errors survive the wire.
-	if _, err := decodeReply(encodeReply(Message{}, fmt.Errorf("kaboom"))); err == nil || !IsRemote(err) || !strings.Contains(err.Error(), "kaboom") {
+	if _, err := decodeReply(appendReply(nil, Message{}, fmt.Errorf("kaboom"))); err == nil || !IsRemote(err) || !strings.Contains(err.Error(), "kaboom") {
 		t.Errorf("error reply = %v", err)
 	}
 	// Malformed frames fail cleanly rather than panicking.
@@ -104,9 +104,9 @@ func TestWireCodecRoundTrip(t *testing.T) {
 // pre-trace frame decodes with Trace zero.
 func TestWireTraceIsOptionalTrailingField(t *testing.T) {
 	msg := Message{Type: "rep.get", Key: "k", Body: []byte("b")}
-	plain := encodeRequest("a", "b", msg)
+	plain := appendRequest(nil, "a", "b", msg)
 	msg.Trace = 7
-	traced := encodeRequest("a", "b", msg)
+	traced := appendRequest(nil, "a", "b", msg)
 	if len(traced) <= len(plain) || string(traced[:len(plain)]) != string(plain) {
 		t.Fatalf("traced frame is not plain frame + trailing field (%d vs %d bytes)", len(traced), len(plain))
 	}

@@ -86,11 +86,6 @@ func appendRequest(buf []byte, from, to string, msg Message) []byte {
 	return buf
 }
 
-// encodeRequest renders a request frame payload (without the frame length).
-func encodeRequest(from, to string, msg Message) []byte {
-	return appendRequest(make([]byte, 0, 64+len(msg.Key)+len(msg.Body)), from, to, msg)
-}
-
 // decodeRequest parses a request frame payload.
 func decodeRequest(payload []byte) (from, to string, msg Message, err error) {
 	r := &wireReader{buf: payload}
@@ -154,11 +149,6 @@ func appendReply(buf []byte, msg Message, remoteErr error) []byte {
 	}
 	buf = appendBytes(buf, msg.Body)
 	return buf
-}
-
-// encodeReply renders a reply frame payload.
-func encodeReply(msg Message, remoteErr error) []byte {
-	return appendReply(make([]byte, 0, 32+len(msg.Key)+len(msg.Body)), msg, remoteErr)
 }
 
 // decodeReply parses a reply frame payload.

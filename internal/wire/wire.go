@@ -1,15 +1,15 @@
 // Package wire provides the append-style binary encoding primitives shared
-// by the transport framing and the subsystem RPC codecs (replication,
-// offload, cooperative cache, state bus). The format is the one
+// by the transport framing and the subsystem codecs (replication, offload,
+// cooperative cache, leases, deployments, large-object manifests). The
+// format is the one
 // internal/transport's wire codec established: uvarint-length-prefixed byte
 // strings and uvarint integers, written by appending to a caller-supplied
 // buffer so encoders compose without intermediate allocations, and read by a
 // bounds-checked Reader that never panics on malformed input.
 //
-// Payloads produced by these codecs start with the Magic byte (0x00), which
-// no gob stream can begin with (gob's first byte is a nonzero message
-// length): decoders sniff it to keep accepting gob-encoded payloads from
-// peers one release behind (see the package users' Decode* functions).
+// Self-describing payloads produced by these codecs start with the Magic
+// format-version byte; decoders open them with Open, which checks that byte
+// in one place and rejects anything else as ErrMalformed.
 //
 // The package also owns the buffer pool the hot path encodes into: GetBuf
 // returns a zero-length buffer with capacity, PutBuf recycles it. Buffers
@@ -24,14 +24,23 @@ import (
 	"time"
 )
 
-// Magic is the first byte of every binary-codec payload. A gob stream never
-// starts with 0x00 (the first byte is the nonzero length of the first
-// message), so one sniff byte distinguishes the two encodings during the
-// one-release upgrade window.
+// Magic is the format-version byte every self-describing payload starts
+// with. A future incompatible encoding takes a new value, so a decoder
+// refuses bytes it cannot read instead of misparsing them.
 const Magic byte = 0x00
 
 // ErrMalformed reports a truncated or corrupt binary payload.
 var ErrMalformed = errors.New("wire: malformed payload")
+
+// Open returns a Reader over payload's body after checking that payload is
+// non-empty and starts with Magic; anything else is ErrMalformed. The
+// Reader is returned by value so decoders keep it on the stack.
+func Open(payload []byte) (Reader, error) {
+	if len(payload) == 0 || payload[0] != Magic {
+		return Reader{}, ErrMalformed
+	}
+	return Reader{Buf: payload, Off: 1}, nil
+}
 
 // AppendUvarint appends v in uvarint encoding.
 func AppendUvarint(buf []byte, v uint64) []byte {

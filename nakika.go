@@ -11,7 +11,7 @@
 //	node, _ := nakika.NewNode(nakika.Config{Name: "edge-1", Upstream: origin})
 //	resp, _, _ := node.Handle(nakika.MustRequest("GET", "http://site.org/"))
 //
-// See the examples/ directory for runnable programs and DESIGN.md for the
+// See the examples/ directory for runnable programs and README.md for the
 // system inventory and the mapping from the paper's evaluation to the
 // benchmark harness.
 package nakika
@@ -45,9 +45,6 @@ type FetcherFunc = core.FetcherFunc
 // HTTPFetcher is a Fetcher backed by net/http.
 type HTTPFetcher = core.HTTPFetcher
 
-// Directory locates peer nodes for cooperative caching.
-type Directory = core.Directory
-
 // Stats aggregates node counters.
 type Stats = core.Stats
 
@@ -64,14 +61,12 @@ type Ring = overlay.Ring
 // substitute).
 type Redirector = overlay.Redirector
 
-// Bus is the reliable messaging service used for hard state replication.
+// Bus is the reliable messaging service that replicates hard state between
+// in-process nodes without a Ring.
 type Bus = state.Bus
 
 // NewNode builds an edge node.
 func NewNode(cfg Config) (*Node, error) { return core.NewNode(cfg) }
-
-// NewDirectory returns an empty peer directory.
-func NewDirectory() *Directory { return core.NewDirectory() }
 
 // NewRing returns an empty overlay ring.
 func NewRing() *Ring { return overlay.NewRing() }

@@ -47,8 +47,6 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 
 func TestPublicAPIOverlayAndBus(t *testing.T) {
 	ring := NewRing()
-	dir := NewDirectory()
-	bus := NewBus()
 	origin := FetcherFunc(func(req *Request) (*Response, error) {
 		if req.Path() == "/big" {
 			r := NewHTMLResponse(200, strings.Repeat("x", 5000))
@@ -57,11 +55,11 @@ func TestPublicAPIOverlayAndBus(t *testing.T) {
 		}
 		return NewTextResponse(404, "not found"), nil
 	})
-	a, err := NewNode(Config{Name: "edge-a", Region: "us-east", Upstream: origin, Ring: ring, Directory: dir, Bus: bus})
+	a, err := NewNode(Config{Name: "edge-a", Region: "us-east", Upstream: origin, Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNode(Config{Name: "edge-b", Region: "asia", Upstream: origin, Ring: ring, Directory: dir, Bus: bus}); err != nil {
+	if _, err := NewNode(Config{Name: "edge-b", Region: "asia", Upstream: origin, Ring: ring}); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Size() != 2 {
@@ -73,5 +71,27 @@ func TestPublicAPIOverlayAndBus(t *testing.T) {
 	}
 	if _, _, err := a.Handle(MustRequest("GET", "http://files.example.org/big")); err != nil {
 		t.Fatal(err)
+	}
+
+	// The shared Bus replicates hard state between nodes without a Ring;
+	// ring nodes replicate by successor lists and refuse a Bus.
+	bus := NewBus()
+	if _, err := NewNode(Config{Name: "edge-c", Upstream: origin, Ring: ring, Bus: bus}); err == nil {
+		t.Error("a Bus combined with a Ring should be rejected")
+	}
+	c, err := NewNode(Config{Name: "edge-c", Upstream: origin, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewNode(Config{Name: "edge-d", Upstream: origin, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.StateGet("app.example.org", "warm") // replicas attach on first touch
+	if err := c.StatePut("app.example.org", "user:1", "maria"); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.StateGet("app.example.org", "user:1"); !ok || v != "maria" {
+		t.Errorf("bus-replicated state at edge-d = %q %v", v, ok)
 	}
 }
